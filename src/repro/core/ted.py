@@ -28,7 +28,6 @@ from repro.enumeration.distributed import PatternLevelStats, match_level
 from repro.enumeration.gspan import CODE_KEY, enumerate_gspan, level1_codes
 from repro.graphdb.spark_io import per_graph_edge_counts
 from repro.isomorphism.dfscode import DFSCode, is_min
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 VARIANTS = ("base", "prm", "ips", "ted")
 
@@ -40,7 +39,6 @@ def ips_initial_patterns(
     k: int,
     e_max: int,
     e_min: int = 1,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> list[tuple[DFSCode, frozenset[int]]]:
     """Initial Pattern Selection (Section 5.2).
 
@@ -50,7 +48,7 @@ def ips_initial_patterns(
     Returns the top-k chain results by coverage as (code, cover) pairs.
     """
     roots = level1_codes(edges)
-    root_stats = match_level(spark, edges, roots, want_extensions=True, max_emb=max_emb)
+    root_stats = match_level(spark, edges, roots, want_extensions=True)
     # chain state: (current stats, done?)
     chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
     active = [ps for ps in chains if len(ps.code) < e_max and ps.extensions]
@@ -68,9 +66,7 @@ def ips_initial_patterns(
         if not cand_codes:
             settled.extend(active)
             break
-        child_stats = match_level(
-            spark, edges, cand_codes, want_extensions=True, max_emb=max_emb
-        )
+        child_stats = match_level(spark, edges, cand_codes, want_extensions=True)
         best: dict[int, PatternLevelStats] = {}
         for ci, cs in zip(owners, child_stats):
             cur = best.get(ci)
@@ -112,7 +108,6 @@ def ted(
     e_min: int = 1,
     alpha: float = 1.0,
     variant: str = "ted",
-    max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
 ) -> AlgoResult:
     """Run a TED variant and return its result + instrumentation.
@@ -133,9 +128,7 @@ def ted(
     maintainer = PatternMaintainer(k=k, alpha=alpha)
 
     if use_ips:
-        for code, cover in ips_initial_patterns(
-            spark, edges, k=k, e_max=e_max, e_min=e_min, max_emb=max_emb
-        ):
+        for code, cover in ips_initial_patterns(spark, edges, k=k, e_max=e_max, e_min=e_min):
             maintainer.offer(code, cover)
 
     def visitor(ps: PatternLevelStats) -> None:
@@ -162,7 +155,6 @@ def ted(
         min_support_frac=0.0,
         visitor=visitor,
         extend_filter=prm_filter if use_prm else None,
-        max_emb=max_emb,
         time_limit_s=time_limit_s,
     )
     elapsed = time.perf_counter() - t0
@@ -188,20 +180,3 @@ def ted(
             "truncated": enum_stats.truncated,
         },
     )
-
-
-def coverage_of_patterns(
-    spark: SparkSession,
-    edges: DataFrame,
-    codes: list[DFSCode],
-    *,
-    max_emb: int = DEFAULT_MAX_EMB,
-) -> tuple[int, frozenset[int]]:
-    """Recompute ``|Cov(P, D)|`` for a fixed pattern set with one Spark job —
-    the independent check that the incrementally-maintained PES total is
-    right (used by tests and the jobs' verification output)."""
-    stats = match_level(spark, edges, codes, want_extensions=False, max_emb=max_emb)
-    cover: set[int] = set()
-    for ps in stats:
-        cover |= ps.cover
-    return len(cover), frozenset(cover)

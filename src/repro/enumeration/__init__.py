@@ -1,14 +1,3 @@
 """Distributed subgraph enumeration substrate: level-synchronous gSpan over
 Spark (one scan/aggregate job per DFS level) plus frequent-subgraph mining
 via support-threshold pruning."""
-from repro.enumeration.distributed import PatternLevelStats, match_level, match_level_df
-from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes
-
-__all__ = [
-    "PatternLevelStats",
-    "match_level",
-    "match_level_df",
-    "EnumStats",
-    "enumerate_gspan",
-    "level1_codes",
-]

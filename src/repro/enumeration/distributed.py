@@ -80,7 +80,6 @@ def match_level_df(
     codes: list[DFSCode],
     *,
     want_extensions: bool = True,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> DataFrame:
     """The level job as a DataFrame (schema :data:`LEVEL_SCHEMA`).
 
@@ -93,13 +92,14 @@ def match_level_df(
     ]
     bc = spark.sparkContext.broadcast(prepared)
     want_ext = want_extensions
-    cap = max_emb
 
     def run_graph(pdf: pd.DataFrame) -> pd.DataFrame:
         (g,) = graphs_from_pandas(pdf)  # one group == one graph
         rows = []
         for pid, code, pat in bc.value:
-            ms = match_stats(code, g, want_extensions=want_ext, max_emb=cap, pattern=pat)
+            ms = match_stats(
+                code, g, want_extensions=want_ext, max_emb=DEFAULT_MAX_EMB, pattern=pat
+            )
             if ms.n_embeddings == 0:
                 continue
             rows.append(
@@ -123,16 +123,13 @@ def match_level(
     codes: list[DFSCode],
     *,
     want_extensions: bool = True,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> list[PatternLevelStats]:
     """Run the level job and fold rows into per-pattern aggregates.
 
     Returns one entry per input code, in input order (patterns with zero
     support get empty aggregates).
     """
-    pdf = match_level_df(
-        spark, edges, codes, want_extensions=want_extensions, max_emb=max_emb
-    ).toPandas()
+    pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
     supports: list[set[int]] = [set() for _ in codes]
     covers: list[set[int]] = [set() for _ in codes]
     n_embs = [0] * len(codes)

@@ -21,7 +21,6 @@ from pyspark.sql import functions as F
 
 from repro.enumeration.distributed import PatternLevelStats, match_level
 from repro.isomorphism.dfscode import DFSCode, edge_lt, is_min
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 
 def code_cmp(a: DFSCode, b: DFSCode) -> int:
@@ -74,7 +73,6 @@ def enumerate_gspan(
     n_graphs: int | None = None,
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
-    max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max``.
@@ -97,7 +95,7 @@ def enumerate_gspan(
     while frontier:
         stats.levels += 1
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-        level = match_level(spark, edges, frontier, want_extensions=True, max_emb=max_emb)
+        level = match_level(spark, edges, frontier, want_extensions=True)
         stats.n_matched += len(level)
         children: list[DFSCode] = []
         for ps in sorted(level, key=lambda s: CODE_KEY(s.code)):

@@ -1,28 +1,3 @@
 """Graph-database substrate: labeled-graph model, synthetic molecule
 generators (stand-ins for AIDS / eMol / PubChem), and the Spark edge-table
 encoding used by every distributed job."""
-from repro.graphdb.model import Graph, edge_key, split_edge_key
-from repro.graphdb.generator import molecule_db, motif_library, PROFILES
-from repro.graphdb.spark_io import (
-    EDGE_SCHEMA,
-    to_edges_df,
-    to_edges_pandas,
-    graphs_from_pandas,
-    db_stats,
-    per_graph_edge_counts,
-)
-
-__all__ = [
-    "Graph",
-    "edge_key",
-    "split_edge_key",
-    "molecule_db",
-    "motif_library",
-    "PROFILES",
-    "EDGE_SCHEMA",
-    "to_edges_df",
-    "to_edges_pandas",
-    "graphs_from_pandas",
-    "db_stats",
-    "per_graph_edge_counts",
-]

@@ -2,27 +2,3 @@
 minimal codes, rightmost extension), the embedding matcher that computes
 cover sets, brute-force references used as test oracles, and a pure
 DataFrame/SQL join-based matcher exercised through Catalyst and DuckDB."""
-from repro.isomorphism.dfscode import (
-    DFSCode,
-    Edge5,
-    code_to_graph,
-    edge_lt,
-    is_min,
-    min_code_of_graph,
-    rightmost_path,
-)
-from repro.isomorphism.matcher import MatchResult, match_stats, contains, cover_set
-
-__all__ = [
-    "DFSCode",
-    "Edge5",
-    "code_to_graph",
-    "edge_lt",
-    "is_min",
-    "min_code_of_graph",
-    "rightmost_path",
-    "MatchResult",
-    "match_stats",
-    "contains",
-    "cover_set",
-]

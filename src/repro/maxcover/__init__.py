@@ -1,7 +1,3 @@
 """Max-k-cover substrate: the greedy (1-1/e) solver used by MaxCover in
 Algorithms 1–2 and an exact branch-and-bound optimum for the Figure-13-style
 OPT comparison on small databases."""
-from repro.maxcover.greedy import greedy_max_cover
-from repro.maxcover.exact import exact_max_cover
-
-__all__ = ["greedy_max_cover", "exact_max_cover"]

@@ -13,7 +13,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.enumeration.distributed import match_level
 from repro.graphdb.generator import motif_library
 from repro.isomorphism.dfscode import DFSCode, canonical
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 
 def repository_canon(labeled_edges: bool = False) -> frozenset[DFSCode]:
@@ -47,13 +46,9 @@ def bio_importance_count(
 
 
 def pattern_supports(
-    spark: SparkSession,
-    edges: DataFrame,
-    codes: list[DFSCode],
-    *,
-    max_emb: int = DEFAULT_MAX_EMB,
+    spark: SparkSession, edges: DataFrame, codes: list[DFSCode]
 ) -> dict[DFSCode, int]:
     """Support of each pattern over D with one Spark job — used to flag
     infrequent (sup < sup_min) patterns in Table 6's "Yes" column."""
-    stats = match_level(spark, edges, codes, want_extensions=False, max_emb=max_emb)
+    stats = match_level(spark, edges, codes, want_extensions=False)
     return {ps.code: ps.support for ps in stats}

@@ -56,7 +56,7 @@ class TestAlgorithms:
 
     def test_all_t_uses_swaps(self, spark, tiny_edges):
         r = all_t(spark, tiny_edges, k=K, e_max=E_MAX)
-        assert r.index_size_bytes > 0
+        assert r.index_size_bytes > 0 and r.coverage > 0
         assert len(r.patterns) <= K
 
     def test_fsg_t_runs(self, spark, tiny_edges):

@@ -1,4 +1,7 @@
-"""Spark edge-table encoding tests, with DuckDB-oracle-checked statistics."""
+"""Spark edge-table encoding tests, with DuckDB-oracle-checked statistics,
+and the shared session configuration they run on."""
+import os
+
 import pytest
 
 from repro.graphdb.spark_io import (
@@ -46,3 +49,14 @@ class TestStats:
     def test_per_graph_edge_counts(self, tiny_mol_db, tiny_edges):
         counts = per_graph_edge_counts(tiny_edges)
         assert counts == {g.gid: g.n_edges for g in tiny_mol_db}
+
+
+def test_session_config_shared_with_jobs(spark):
+    """The fixture's session carries the settings ``jobs/_common.get_spark``
+    gives every job and the benchmark."""
+    conf = spark.conf
+    assert conf.get("spark.sql.shuffle.partitions") == os.environ.get(
+        "SPARK_SHUFFLE_PARTITIONS", "64"
+    )
+    assert conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
+    assert conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
