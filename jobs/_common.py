@@ -4,14 +4,20 @@ SparkSession configuration.
 Each job is a function taking a SparkSession and returning printable rows,
 wrapped in a ``main()`` that builds its session with :func:`get_spark` when
 run standalone (``spark-submit jobs/<name>.py`` or ``python
-jobs/<name>.py``). The test suite's ``spark`` fixture (root ``conftest.py``)
+jobs/<name>.py``; either puts ``jobs/`` on ``sys.path``, so jobs import this
+module by name). The test suite's ``spark`` fixture (root ``conftest.py``)
 and ``perfbench/run.py`` build theirs with the same function.
 """
 from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+from repro.core.baselines import all_g, all_t, fsg_g, fsg_t
+from repro.core.ted import ted
+from repro.graphdb.spark_io import to_edges_df
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -70,13 +76,36 @@ def get_spark(app_name: str):
 
     s = (
         SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+@contextmanager
+def cached_edges(spark, db):
+    """The edge table of ``db``, cached and materialized for the block."""
+    edges = to_edges_df(spark, db).cache()
+    edges.count()
+    try:
+        yield edges
+    finally:
+        edges.unpersist()
+
+
+def compare_algorithms(spark, edges, *, k: int, e_max: int, time_limit_s: float):
+    """TED and the four baselines (FSG at sup_min 0.1) on one edge table,
+    in the order the Exp 1/2 tables list them."""
+    return [
+        ted(spark, edges, k=k, e_max=e_max, time_limit_s=time_limit_s),
+        all_g(spark, edges, k=k, e_max=e_max, time_limit_s=time_limit_s),
+        all_t(spark, edges, k=k, e_max=e_max, time_limit_s=time_limit_s),
+        fsg_g(spark, edges, k=k, e_max=e_max, sup_min=0.1, time_limit_s=time_limit_s),
+        fsg_t(spark, edges, k=k, e_max=e_max, sup_min=0.1, time_limit_s=time_limit_s),
+    ]
 
 
 def render_table(rows: list[dict], title: str) -> str:

@@ -5,15 +5,9 @@ growth for ALL_g (which the paper reports as INF at E_max=15); coverage rate
 fluctuates in a narrow band; TED stays close to ALL_g's coverage."""
 from __future__ import annotations
 
-import sys
+from _common import cached_edges, compare_algorithms, emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.core.baselines import all_g, all_t, fsg_g, fsg_t  # noqa: E402
-from repro.core.ted import ted  # noqa: E402
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.graphdb.generator import molecule_db
 
 K = 5
 EMAXES = (2, 3, 4, 5)
@@ -21,21 +15,11 @@ TIME_LIMIT = 900.0
 
 
 def run(spark, *, n_graphs: int = 150, emaxes=EMAXES) -> list[dict]:
-    db = molecule_db("aids_lite", n_graphs, seed=0)
-    edges = to_edges_df(spark, db).cache()
-    edges.count()
     rows = []
-    for e_max in emaxes:
-        runs = [
-            ted(spark, edges, k=K, e_max=e_max, time_limit_s=TIME_LIMIT),
-            all_g(spark, edges, k=K, e_max=e_max, time_limit_s=TIME_LIMIT),
-            all_t(spark, edges, k=K, e_max=e_max, time_limit_s=TIME_LIMIT),
-            fsg_g(spark, edges, k=K, e_max=e_max, sup_min=0.1, time_limit_s=TIME_LIMIT),
-            fsg_t(spark, edges, k=K, e_max=e_max, sup_min=0.1, time_limit_s=TIME_LIMIT),
-        ]
-        for r in runs:
-            rows.append({"e_max": e_max, **r.row()})
-    edges.unpersist()
+    with cached_edges(spark, molecule_db("aids_lite", n_graphs, seed=0)) as edges:
+        for e_max in emaxes:
+            for r in compare_algorithms(spark, edges, k=K, e_max=e_max, time_limit_s=TIME_LIMIT):
+                rows.append({"e_max": e_max, **r.row()})
     return rows
 
 

@@ -6,15 +6,9 @@ and time grow with k; TED tracks ALL_g's coverage at lower time; greedy
 variants cost more time than swap variants."""
 from __future__ import annotations
 
-import sys
+from _common import cached_edges, compare_algorithms, emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.core.baselines import all_g, all_t, fsg_g, fsg_t  # noqa: E402
-from repro.core.ted import ted  # noqa: E402
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.graphdb.generator import molecule_db
 
 E_MAX = 4
 KS = (1, 3, 5, 7, 9)
@@ -22,21 +16,11 @@ TIME_LIMIT = 1200.0
 
 
 def run(spark, *, n_graphs: int = 200, e_max: int = E_MAX, ks=KS) -> list[dict]:
-    db = molecule_db("aids_lite", n_graphs, seed=0)
-    edges = to_edges_df(spark, db).cache()
-    edges.count()
     rows = []
-    for k in ks:
-        runs = [
-            ted(spark, edges, k=k, e_max=e_max, time_limit_s=TIME_LIMIT),
-            all_g(spark, edges, k=k, e_max=e_max, time_limit_s=TIME_LIMIT),
-            all_t(spark, edges, k=k, e_max=e_max, time_limit_s=TIME_LIMIT),
-            fsg_g(spark, edges, k=k, e_max=e_max, sup_min=0.1, time_limit_s=TIME_LIMIT),
-            fsg_t(spark, edges, k=k, e_max=e_max, sup_min=0.1, time_limit_s=TIME_LIMIT),
-        ]
-        for r in runs:
-            rows.append({"k": k, **r.row()})
-    edges.unpersist()
+    with cached_edges(spark, molecule_db("aids_lite", n_graphs, seed=0)) as edges:
+        for k in ks:
+            for r in compare_algorithms(spark, edges, k=k, e_max=e_max, time_limit_s=TIME_LIMIT):
+                rows.append({"k": k, **r.row()})
     return rows
 
 

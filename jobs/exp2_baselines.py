@@ -8,15 +8,11 @@ graph; TED holds comparable coverage; coverage rate rises slightly with
 graph size."""
 from __future__ import annotations
 
-import sys
+from _common import cached_edges, compare_algorithms, emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.core.baselines import all_g, all_t, fsg_g, fsg_t  # noqa: E402
-from repro.core.ted import ted  # noqa: E402
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.core.baselines import all_g, fsg_g
+from repro.core.ted import ted
+from repro.graphdb.generator import molecule_db
 
 K, E_MAX = 5, 4
 SIZES = (100, 200, 400)
@@ -27,18 +23,9 @@ NODE_BUCKETS = ((0, 20), (20, 50), (50, 1000))
 def run_scale(spark, sizes=SIZES) -> list[dict]:
     rows = []
     for n in sizes:
-        db = molecule_db("aids_lite", n, seed=0)
-        edges = to_edges_df(spark, db).cache()
-        edges.count()
-        for r in [
-            ted(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            all_g(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            all_t(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            fsg_g(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, time_limit_s=TIME_LIMIT),
-            fsg_t(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, time_limit_s=TIME_LIMIT),
-        ]:
-            rows.append({"|D|": n, **r.row()})
-        edges.unpersist()
+        with cached_edges(spark, molecule_db("aids_lite", n, seed=0)) as edges:
+            for r in compare_algorithms(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT):
+                rows.append({"|D|": n, **r.row()})
     return rows
 
 
@@ -51,15 +38,13 @@ def run_node_buckets(spark, *, per_bucket: int = 100) -> list[dict]:
         if len(sub) < 10:
             continue
         sub = [g.relabel(i) for i, g in enumerate(sub)]
-        edges = to_edges_df(spark, sub).cache()
-        edges.count()
-        for r in [
-            ted(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            all_g(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            fsg_g(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, time_limit_s=TIME_LIMIT),
-        ]:
-            rows.append({"nodes_in": f"({lo},{hi}]", "n_graphs": len(sub), **r.row()})
-        edges.unpersist()
+        with cached_edges(spark, sub) as edges:
+            for r in [
+                ted(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
+                all_g(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
+                fsg_g(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, time_limit_s=TIME_LIMIT),
+            ]:
+                rows.append({"nodes_in": f"({lo},{hi}]", "n_graphs": len(sub), **r.row()})
     return rows
 
 

@@ -2,15 +2,11 @@
 databases (paper: PubChem100 and AIDS100; ratio TED/OPT >= 0.945)."""
 from __future__ import annotations
 
-import sys
+from _common import cached_edges, emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.core.baselines import all_g, fsg_g, opt_exact  # noqa: E402
-from repro.core.ted import ted  # noqa: E402
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.core.baselines import all_g, fsg_g, opt_exact
+from repro.core.ted import ted
+from repro.graphdb.generator import molecule_db
 
 K, E_MAX = 5, 3
 
@@ -18,24 +14,21 @@ K, E_MAX = 5, 3
 def run(spark, *, n_graphs: int = 100) -> list[dict]:
     rows = []
     for ds in ("pubchem_lite", "aids_lite"):
-        db = molecule_db(ds, n_graphs, seed=0)
-        edges = to_edges_df(spark, db).cache()
-        edges.count()
-        opt = opt_exact(spark, edges, k=K, e_max=E_MAX)
-        for r in [
-            opt,
-            ted(spark, edges, k=K, e_max=E_MAX),
-            all_g(spark, edges, k=K, e_max=E_MAX),
-            fsg_g(spark, edges, k=K, e_max=E_MAX, sup_min=0.1),
-        ]:
-            rows.append(
-                {
-                    "dataset": f"{ds}{n_graphs}",
-                    **r.row(),
-                    "ratio_to_opt": round(r.coverage / opt.coverage, 3),
-                }
-            )
-        edges.unpersist()
+        with cached_edges(spark, molecule_db(ds, n_graphs, seed=0)) as edges:
+            opt = opt_exact(spark, edges, k=K, e_max=E_MAX)
+            for r in [
+                opt,
+                ted(spark, edges, k=K, e_max=E_MAX),
+                all_g(spark, edges, k=K, e_max=E_MAX),
+                fsg_g(spark, edges, k=K, e_max=E_MAX, sup_min=0.1),
+            ]:
+                rows.append(
+                    {
+                        "dataset": f"{ds}{n_graphs}",
+                        **r.row(),
+                        "ratio_to_opt": round(r.coverage / opt.coverage, 3),
+                    }
+                )
     return rows
 
 

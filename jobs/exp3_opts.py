@@ -4,28 +4,20 @@ BASE vs PRM (BASE+pruning) vs TED (PRM+IPS). Shape claims: time decreases
 BASE -> PRM -> TED with no coverage loss."""
 from __future__ import annotations
 
-import sys
+from _common import cached_edges, emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.core.ted import ted  # noqa: E402
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.core.ted import ted
+from repro.graphdb.generator import molecule_db
 
 K, E_MAX = 5, 4
 
 
 def run(spark, *, n_graphs: int = 200) -> list[dict]:
-    db = molecule_db("aids_lite", n_graphs, seed=0)
-    edges = to_edges_df(spark, db).cache()
-    edges.count()
-    rows = [
-        ted(spark, edges, k=K, e_max=E_MAX, variant=v).row()
-        for v in ("base", "prm", "ted")
-    ]
-    edges.unpersist()
-    return rows
+    with cached_edges(spark, molecule_db("aids_lite", n_graphs, seed=0)) as edges:
+        return [
+            ted(spark, edges, k=K, e_max=E_MAX, variant=v).row()
+            for v in ("base", "prm", "ted")
+        ]
 
 
 def main() -> None:

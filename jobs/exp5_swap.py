@@ -5,15 +5,11 @@ Runs TED and the swap-based baselines under Swap_1 (alpha=1), Swap_2
 on coverage and time under every criterion."""
 from __future__ import annotations
 
-import sys
+from _common import cached_edges, emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.core.baselines import all_t, fsg_t  # noqa: E402
-from repro.core.ted import ted  # noqa: E402
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.core.baselines import all_t, fsg_t
+from repro.core.ted import ted
+from repro.graphdb.generator import molecule_db
 
 K, E_MAX = 5, 4
 ALPHAS = {"Swap_1": 1.0, "Swap_2": 0.0, "Swap_a(0.5)": 0.5}
@@ -22,17 +18,14 @@ ALPHAS = {"Swap_1": 1.0, "Swap_2": 0.0, "Swap_a(0.5)": 0.5}
 def run(spark, *, n_graphs: int = 150) -> list[dict]:
     rows = []
     for ds in ("aids_lite", "emol_lite"):
-        db = molecule_db(ds, n_graphs, seed=0)
-        edges = to_edges_df(spark, db).cache()
-        edges.count()
-        for crit, alpha in ALPHAS.items():
-            for r in [
-                ted(spark, edges, k=K, e_max=E_MAX, alpha=alpha),
-                all_t(spark, edges, k=K, e_max=E_MAX, alpha=alpha),
-                fsg_t(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, alpha=alpha),
-            ]:
-                rows.append({"dataset": ds, "criterion": crit, **r.row()})
-        edges.unpersist()
+        with cached_edges(spark, molecule_db(ds, n_graphs, seed=0)) as edges:
+            for crit, alpha in ALPHAS.items():
+                for r in [
+                    ted(spark, edges, k=K, e_max=E_MAX, alpha=alpha),
+                    all_t(spark, edges, k=K, e_max=E_MAX, alpha=alpha),
+                    fsg_t(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, alpha=alpha),
+                ]:
+                    rows.append({"dataset": ds, "criterion": crit, **r.row()})
     return rows
 
 

@@ -6,13 +6,10 @@ aggregate, next to the paper's numbers for the real datasets.
 """
 from __future__ import annotations
 
-import sys
+from _common import emit, get_spark, render_table
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-from _common import emit, get_spark, render_table  # noqa: E402
-
-from repro.graphdb.generator import molecule_db  # noqa: E402
-from repro.graphdb.spark_io import db_stats, to_edges_df  # noqa: E402
+from repro.graphdb.generator import molecule_db
+from repro.graphdb.spark_io import db_stats, to_edges_df
 
 #: (profile, n_graphs at repro scale, paper row for the real dataset)
 DATASETS = [

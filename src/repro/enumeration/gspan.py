@@ -70,7 +70,6 @@ def enumerate_gspan(
     *,
     e_max: int,
     min_support_frac: float = 0.0,
-    n_graphs: int | None = None,
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
     time_limit_s: float | None = None,
@@ -81,14 +80,14 @@ def enumerate_gspan(
     fewer than ``ceil(frac * |D|)`` graphs are dropped *and* their subtrees
     pruned (support is anti-monotone under rightmost extension). With
     ``frac = 0`` every pattern with support >= 1 survives — the ALL setting.
+    ``|D|`` is the union of the 1-edge patterns' supports: every edge row
+    embeds its own 1-edge pattern, so that union is every graph id.
 
     ``visitor`` sees each surviving pattern exactly once, in canonical
     DFS-code order within each level. ``extend_filter`` decides whether a
     surviving pattern's subtree is explored (TED's PRM hook).
     """
-    if min_support_frac > 0 and n_graphs is None:
-        n_graphs = edges.select("graph_id").distinct().count()
-    threshold = max(1, math.ceil(min_support_frac * (n_graphs or 1)))
+    threshold = 1
     t0 = time.perf_counter()
     stats = EnumStats()
     frontier = level1_codes(edges)
@@ -96,6 +95,9 @@ def enumerate_gspan(
         stats.levels += 1
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
         level = match_level(spark, edges, frontier, want_extensions=True)
+        if stats.levels == 1 and min_support_frac > 0:
+            n_graphs = len(frozenset().union(*(ps.support_gids for ps in level)))
+            threshold = max(1, math.ceil(min_support_frac * n_graphs))
         stats.n_matched += len(level)
         children: list[DFSCode] = []
         for ps in sorted(level, key=lambda s: CODE_KEY(s.code)):

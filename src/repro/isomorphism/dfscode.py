@@ -93,7 +93,8 @@ def _min_first_entry(g: Graph) -> tuple[Edge5, list[tuple[list[int], dict[int, i
 
 
 def min_code_of_graph(g: Graph) -> DFSCode:
-    """The canonical (minimal) DFS code of ``g``.
+    """The canonical (minimal) DFS code of ``g``: two graphs have the same
+    minimal code iff they are isomorphic.
 
     Grows the code one entry at a time, keeping every embedding of the
     current minimal prefix and picking the globally minimal rightmost
@@ -157,14 +158,6 @@ def min_code_of_graph(g: Graph) -> DFSCode:
 def is_min(code: DFSCode) -> bool:
     """True iff ``code`` is the canonical minimal code of its own graph."""
     return min_code_of_graph(code_to_graph(code)) == code
-
-
-def canonical(g: Graph) -> DFSCode:
-    """Canonical form of a labeled graph (alias of :func:`min_code_of_graph`).
-
-    ``canonical(g1) == canonical(g2)`` iff ``g1`` and ``g2`` are isomorphic.
-    """
-    return min_code_of_graph(g)
 
 
 def encode(code: DFSCode) -> str:

@@ -46,7 +46,6 @@ def catapult_lite(
         edges,
         e_max=e_max,
         min_support_frac=sup_min,
-        n_graphs=n_graphs,
         visitor=lambda ps: cands.append((ps.code, ps.support))
         if len(ps.code) >= e_min
         else None,

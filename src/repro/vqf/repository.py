@@ -12,12 +12,12 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.enumeration.distributed import match_level
 from repro.graphdb.generator import motif_library
-from repro.isomorphism.dfscode import DFSCode, canonical
+from repro.isomorphism.dfscode import DFSCode, min_code_of_graph
 
 
 def repository_canon(labeled_edges: bool = False) -> frozenset[DFSCode]:
     """Canonical codes of every repository motif."""
-    return frozenset(canonical(m) for m in motif_library(labeled_edges))
+    return frozenset(min_code_of_graph(m) for m in motif_library(labeled_edges))
 
 
 def has_bio_importance(code: DFSCode, *, labeled_edges: bool = False) -> bool:

@@ -1,8 +1,10 @@
 """Integration tests: every table/experiment job runs end-to-end at reduced
 scale against the shared session, and the table shapes the paper asserts
 hold on the outputs."""
+import ast
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -18,6 +20,22 @@ def load_job(name: str):
     return mod
 
 
+def test_run_all_runs_every_job():
+    """``run_all.sh`` runs exactly the ``jobs/*.py`` files that define
+    ``main()``, once each."""
+    script = (JOBS / "run_all.sh").read_text()
+    listed = re.search(r"for job in (.*?); do", script, re.S).group(1).replace("\\", " ").split()
+    with_main = [
+        p.stem
+        for p in JOBS.glob("*.py")
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == "main"
+            for node in ast.parse(p.read_text()).body
+        )
+    ]
+    assert sorted(listed) == sorted(with_main)
+
+
 class TestTable2:
     def test_runs_and_reports_all_datasets(self, spark):
         rows = load_job("table2_datasets").run(spark, scale=0.05)
@@ -28,9 +46,7 @@ class TestTable2:
 class TestTables3And4:
     @pytest.fixture(scope="class")
     def pes_rows(self, spark):
-        sys.path.insert(0, str(JOBS))
-        mod = load_job("pes_tables")
-        return mod.run_pes_experiments(spark, scale=0.08, e_max=3)
+        return load_job("table34_pes").run_pes_experiments(spark, scale=0.08, e_max=3)
 
     def test_all_variants_reported(self, pes_rows):
         assert len(pes_rows) == 6
@@ -56,9 +72,8 @@ class TestTables3And4:
 class TestVqfTables:
     @pytest.fixture(scope="class")
     def setup_small(self, spark):
-        sys.path.insert(0, str(JOBS))
-        vq = load_job("vqf_common")
-        return vq.build_setup(spark, "aids_lite", n_graphs=40, seed=1)
+        with load_job("vqf_studies").build_setup(spark, "aids_lite", n_graphs=40, seed=1) as setup:
+            yield setup
 
     def test_table5_queries_in_range(self, setup_small):
         for q in setup_small.queries:
@@ -67,7 +82,7 @@ class TestVqfTables:
     def test_table6_ted_usable_counts_competitive(self, setup_small):
         """At toy scale (40 graphs) the strict TED > FS ordering of the
         paper's Table 6 is noisy; assert TED stays competitive here and
-        leave the full-scale ordering to jobs/table6_vqf.py + EXPERIMENTS."""
+        leave the full-scale ordering to jobs/vqf_studies.py + EXPERIMENTS."""
         from repro.vqf.steps import usable_patterns
 
         tot = {
@@ -92,9 +107,6 @@ class TestVqfTables:
             n, _ = bio_importance_count(codes)
             assert 0 <= n <= len(codes)
 
-    def test_teardown(self, setup_small):
-        setup_small.edges.unpersist()
-
 
 class TestExperimentShapes:
     def test_exp2_opt_ratios(self, spark):
@@ -108,13 +120,14 @@ class TestExperimentShapes:
         assert all(r["ratio_to_opt"] >= 0.25 for r in by_algo["TED"])
 
     def test_exp7_rr_increases_with_rho(self, spark):
-        rows = load_job("exp7_rr").run(spark, n_graphs=40, rhos=(0.0, 0.5, 1.0))
+        vqf = load_job("vqf_studies")
+        with vqf.build_setup(spark, "aids_lite", n_graphs=40) as setup:
+            rows = vqf.fig17_rows(setup, rhos=(0.0, 0.5, 1.0))
         rr = {r["rho"]: r["avg_RR"] for r in rows}
         # shape: RR at high rho should not be below RR at rho=0
         assert rr[1.0] >= rr[0.0]
 
     def test_exp5_swap_criteria_all_run(self, spark):
-        sys.path.insert(0, str(JOBS))
         rows = load_job("exp5_swap").run(spark, n_graphs=15)
         crits = {r["criterion"] for r in rows}
         assert crits == {"Swap_1", "Swap_2", "Swap_a(0.5)"}

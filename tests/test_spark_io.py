@@ -1,7 +1,5 @@
 """Spark edge-table encoding tests, with DuckDB-oracle-checked statistics,
 and the shared session configuration they run on."""
-import os
-
 import pytest
 
 from repro.graphdb.spark_io import (
@@ -55,8 +53,6 @@ def test_session_config_shared_with_jobs(spark):
     """The fixture's session carries the settings ``jobs/_common.get_spark``
     gives every job and the benchmark."""
     conf = spark.conf
-    assert conf.get("spark.sql.shuffle.partitions") == os.environ.get(
-        "SPARK_SHUFFLE_PARTITIONS", "64"
-    )
+    assert conf.get("spark.sql.shuffle.partitions") == "64"
     assert conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
     assert conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphdb.generator import motif_library
 from repro.graphdb.model import make_graph
-from repro.isomorphism.dfscode import canonical, min_code_of_graph
+from repro.isomorphism.dfscode import min_code_of_graph
 from repro.vqf.catapult import catapult_lite
 from repro.vqf.fs import top_k_frequent
 from repro.vqf.queries import frequent_query, query_set, sample_query
@@ -95,7 +95,7 @@ class TestRepository:
 
     def test_motif_pattern_is_important(self):
         benzene = next(m for m in motif_library() if m.n_edges == 6)
-        n, hits = bio_importance_count([canonical(benzene)])
+        n, hits = bio_importance_count([min_code_of_graph(benzene)])
         assert n == 1
 
     def test_non_motif_not_important(self):
