@@ -51,8 +51,12 @@ class PatternMaintainer:
 
     def swap_threshold(self) -> float:
         """RHS of Eq. 1 for the current P — also the PRM pruning threshold."""
-        score_l, _ = self.index.select()
-        return (1 + self.alpha) * score_l + (1 - self.alpha) * self.index.cov_total / self.k
+        return self._swap_rule()[0]
+
+    def _swap_rule(self) -> tuple[float, DFSCode]:
+        """RHS of Eq. 1 and ``p_t``, the pattern a swap would evict."""
+        score_l, p_t = self.index.select()
+        return (1 + self.alpha) * score_l + (1 - self.alpha) * self.index.cov_total / self.k, p_t
 
     def offer(self, code: DFSCode, cover: frozenset[int]) -> bool:
         """Consider one enumerated pattern; returns True iff it entered P."""
@@ -61,10 +65,8 @@ class PatternMaintainer:
             self.index.insert(code, cover)
             self.stats.n_inserted += 1
             return True
-        score_l, p_t = self.index.select()
-        score_b = self.index.benefit(cover)
-        rhs = (1 + self.alpha) * score_l + (1 - self.alpha) * self.index.cov_total / self.k
-        if score_b > rhs:
+        rhs, p_t = self._swap_rule()
+        if self.index.benefit(cover) > rhs:
             self.index.update(p_t, code, cover)
             self.stats.n_swaps += 1
             return True

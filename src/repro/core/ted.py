@@ -35,68 +35,55 @@ VARIANTS = ("base", "prm", "ips", "ted")
 def ips_initial_patterns(
     spark: SparkSession,
     edges: DataFrame,
+    level1: list[PatternLevelStats],
     *,
     k: int,
     e_max: int,
     e_min: int = 1,
-) -> list[tuple[DFSCode, frozenset[int]]]:
+) -> tuple[list[tuple[DFSCode, frozenset[int]]], bool]:
     """Initial Pattern Selection (Section 5.2).
 
-    One greedy chain per level-1 root: repeatedly extend to the child with
-    the highest coverage while coverage strictly improves (and |E| < E_max).
-    All chains advance together, so each BFS depth is a single Spark job.
-    Returns the top-k chain results by coverage as (code, cover) pairs.
+    One greedy chain per matched level-1 root in ``level1``: repeatedly
+    extend to the child with the highest coverage while coverage strictly
+    improves (and |E| < E_max). All chains advance together, so each BFS
+    depth is a single Spark job. Returns the top-k chain ends by coverage as
+    (code, cover) pairs, and whether any pattern IPS matched hit the
+    embedding cap.
     """
-    roots = level1_codes(edges)
-    root_stats = match_level(spark, edges, roots, want_extensions=True)
-    # chain state: (current stats, done?)
-    chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
-    active = [ps for ps in chains if len(ps.code) < e_max and ps.extensions]
-    settled = [ps for ps in chains if ps not in active]
-    while active:
-        # one job for every chain's candidate children
-        cand_codes: list[DFSCode] = []
-        owners: list[int] = []
-        for ci, ps in enumerate(active):
-            for ext in sorted(ps.extensions):
-                child = ps.code + (ext,)
-                if is_min(child):
-                    cand_codes.append(child)
-                    owners.append(ci)
-        if not cand_codes:
-            settled.extend(active)
-            break
-        child_stats = match_level(spark, edges, cand_codes, want_extensions=True)
-        best: dict[int, PatternLevelStats] = {}
-        for ci, cs in zip(owners, child_stats):
-            cur = best.get(ci)
-            if cur is None or cs.coverage > cur.coverage or (
-                cs.coverage == cur.coverage and CODE_KEY(cs.code) < CODE_KEY(cur.code)
-            ):
-                best[ci] = cs
-        next_active = []
-        for ci, ps in enumerate(active):
-            ch = best.get(ci)
+
+    def rank(ps: PatternLevelStats):
+        return -ps.coverage, CODE_KEY(ps.code)
+
+    # Chains have distinct codes at every depth, so a child's prefix
+    # ``code[:-1]`` names the one chain it extends.
+    chains = [ps for ps in level1 if ps.support > 0]
+    ends: list[PatternLevelStats] = []
+    truncated = False
+    while chains:
+        children = [
+            child
+            for ps in chains
+            if len(ps.code) < e_max
+            for child in (ps.code + (ext,) for ext in sorted(ps.extensions))
+            if is_min(child)
+        ]
+        best: dict[DFSCode, PatternLevelStats] = {}
+        for cs in match_level(spark, edges, children) if children else ():
+            truncated |= cs.truncated
+            cur = best.get(cs.code[:-1])
+            if cur is None or rank(cs) < rank(cur):
+                best[cs.code[:-1]] = cs
+        grown = []
+        for ps in chains:
+            ch = best.get(ps.code)
             if ch is not None and ch.coverage > ps.coverage:
-                if len(ch.code) < e_max and ch.extensions:
-                    next_active.append(ch)
-                else:
-                    settled.append(ch)
+                grown.append(ch)
             else:
-                settled.append(ps)  # no improving child — chain done
-        active = next_active
-    settled.sort(key=lambda ps: (-ps.coverage, CODE_KEY(ps.code)))
-    picked: list[tuple[DFSCode, frozenset[int]]] = []
-    seen: set[DFSCode] = set()
-    for ps in settled:
-        if len(ps.code) < e_min:
-            continue
-        if ps.code not in seen:
-            seen.add(ps.code)
-            picked.append((ps.code, ps.cover))
-        if len(picked) == k:
-            break
-    return picked
+                ends.append(ps)  # no improving child — chain done
+        chains = grown
+    ends.sort(key=rank)
+    picked = [(ps.code, ps.cover) for ps in ends if len(ps.code) >= e_min][:k]
+    return picked, truncated
 
 
 def ted(
@@ -116,7 +103,11 @@ def ted(
     (Section 6.2 MinE): patterns with fewer edges are traversed but not
     eligible for P. The discovery problem itself (Definition 3) has no
     minimum, so ``e_min=1`` is the default everywhere except the VQF
-    studies."""
+    studies.
+
+    Level 1 is matched once and shared by IPS and the enumeration.
+    ``time_limit_s`` counts from the start of the call; it is checked only
+    between enumeration levels, never inside IPS."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
@@ -126,9 +117,14 @@ def ted(
     edge_counts = per_graph_edge_counts(edges)
     total_edges = sum(edge_counts.values())
     maintainer = PatternMaintainer(k=k, alpha=alpha)
+    level1 = match_level(spark, edges, level1_codes(edges))
 
+    ips_truncated = False
     if use_ips:
-        for code, cover in ips_initial_patterns(spark, edges, k=k, e_max=e_max, e_min=e_min):
+        seeds, ips_truncated = ips_initial_patterns(
+            spark, edges, level1, k=k, e_max=e_max, e_min=e_min
+        )
+        for code, cover in seeds:
             maintainer.offer(code, cover)
 
     def visitor(ps: PatternLevelStats) -> None:
@@ -155,7 +151,10 @@ def ted(
         min_support_frac=0.0,
         visitor=visitor,
         extend_filter=prm_filter if use_prm else None,
-        time_limit_s=time_limit_s,
+        time_limit_s=(
+            None if time_limit_s is None else time_limit_s - (time.perf_counter() - t0)
+        ),
+        level1=level1,
     )
     elapsed = time.perf_counter() - t0
     idx = maintainer.index
@@ -177,6 +176,6 @@ def ted(
             "e_max": e_max,
             "levels": enum_stats.levels,
             "peak_frontier": enum_stats.peak_frontier,
-            "truncated": enum_stats.truncated,
+            "truncated": enum_stats.truncated or ips_truncated,
         },
     )

@@ -30,7 +30,7 @@ from pyspark.sql.types import (
 
 from repro.graphdb.model import Graph, edge_key
 from repro.graphdb.spark_io import graphs_from_pandas
-from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph
+from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph, decode, encode
 from repro.isomorphism.matcher import DEFAULT_MAX_EMB, match_stats
 
 LEVEL_SCHEMA = StructType(
@@ -65,22 +65,7 @@ class PatternLevelStats:
         return len(self.cover)
 
 
-def _encode_ext(e: Edge5) -> str:
-    return f"{e[0]},{e[1]},{e[2]},{e[3]},{e[4]}"
-
-
-def _decode_ext(s: str) -> Edge5:
-    i, j, li, el, lj = s.split(",")
-    return (int(i), int(j), li, el, lj)
-
-
-def match_level_df(
-    spark: SparkSession,
-    edges: DataFrame,
-    codes: list[DFSCode],
-    *,
-    want_extensions: bool = True,
-) -> DataFrame:
+def match_level_df(spark: SparkSession, edges: DataFrame, codes: list[DFSCode]) -> DataFrame:
     """The level job as a DataFrame (schema :data:`LEVEL_SCHEMA`).
 
     Patterns are prepared (code -> pattern graph) on the driver and shipped
@@ -91,15 +76,12 @@ def match_level_df(
         (pid, code, code_to_graph(code)) for pid, code in enumerate(codes)
     ]
     bc = spark.sparkContext.broadcast(prepared)
-    want_ext = want_extensions
 
     def run_graph(pdf: pd.DataFrame) -> pd.DataFrame:
         (g,) = graphs_from_pandas(pdf)  # one group == one graph
         rows = []
         for pid, code, pat in bc.value:
-            ms = match_stats(
-                code, g, want_extensions=want_ext, max_emb=DEFAULT_MAX_EMB, pattern=pat
-            )
+            ms = match_stats(code, g, max_emb=DEFAULT_MAX_EMB, pattern=pat)
             if ms.n_embeddings == 0:
                 continue
             rows.append(
@@ -108,7 +90,7 @@ def match_level_df(
                     g.gid,
                     ms.n_embeddings,
                     [edge_key(g.gid, e) for e in sorted(ms.covered_eids)],
-                    sorted(_encode_ext(e) for e in ms.extensions),
+                    sorted(encode((e,)) for e in ms.extensions),
                     ms.truncated,
                 )
             )
@@ -118,18 +100,14 @@ def match_level_df(
 
 
 def match_level(
-    spark: SparkSession,
-    edges: DataFrame,
-    codes: list[DFSCode],
-    *,
-    want_extensions: bool = True,
+    spark: SparkSession, edges: DataFrame, codes: list[DFSCode]
 ) -> list[PatternLevelStats]:
     """Run the level job and fold rows into per-pattern aggregates.
 
     Returns one entry per input code, in input order (patterns with zero
     support get empty aggregates).
     """
-    pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
+    pdf = match_level_df(spark, edges, codes).toPandas()
     supports: list[set[int]] = [set() for _ in codes]
     covers: list[set[int]] = [set() for _ in codes]
     n_embs = [0] * len(codes)
@@ -142,7 +120,7 @@ def match_level(
         supports[pid].add(int(gid))
         covers[pid].update(int(x) for x in covered)
         n_embs[pid] += int(n_emb)
-        exts[pid].update(_decode_ext(s) for s in ext_strs)
+        exts[pid].update(decode(s)[0] for s in ext_strs)
         trunc[pid] = trunc[pid] or bool(truncated)
     return [
         PatternLevelStats(

@@ -73,6 +73,7 @@ def enumerate_gspan(
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
     time_limit_s: float | None = None,
+    level1: list[PatternLevelStats] | None = None,
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max``.
 
@@ -86,15 +87,18 @@ def enumerate_gspan(
     ``visitor`` sees each surviving pattern exactly once, in canonical
     DFS-code order within each level. ``extend_filter`` decides whether a
     surviving pattern's subtree is explored (TED's PRM hook).
+
+    ``level1`` is the matched first level, ``match_level`` over
+    :func:`level1_codes`, for a caller that already has it (TED shares it
+    with IPS); without it the first level is scanned and matched here.
     """
     threshold = 1
     t0 = time.perf_counter()
     stats = EnumStats()
-    frontier = level1_codes(edges)
-    while frontier:
+    level = level1 if level1 is not None else match_level(spark, edges, level1_codes(edges))
+    while level:
         stats.levels += 1
-        stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-        level = match_level(spark, edges, frontier, want_extensions=True)
+        stats.peak_frontier = max(stats.peak_frontier, len(level))
         if stats.levels == 1 and min_support_frac > 0:
             n_graphs = len(frozenset().union(*(ps.support_gids for ps in level)))
             threshold = max(1, math.ceil(min_support_frac * n_graphs))
@@ -120,8 +124,8 @@ def enumerate_gspan(
                     children.append(child)
                 else:
                     stats.n_children_nonmin += 1
-        frontier = sorted(children, key=CODE_KEY)
         if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
             stats.timed_out = True
             break
+        level = match_level(spark, edges, sorted(children, key=CODE_KEY)) if children else []
     return stats

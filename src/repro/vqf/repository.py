@@ -50,5 +50,5 @@ def pattern_supports(
 ) -> dict[DFSCode, int]:
     """Support of each pattern over D with one Spark job — used to flag
     infrequent (sup < sup_min) patterns in Table 6's "Yes" column."""
-    stats = match_level(spark, edges, codes, want_extensions=False)
+    stats = match_level(spark, edges, codes)
     return {ps.code: ps.support for ps in stats}

@@ -2,6 +2,8 @@
 its cached edge DataFrame, reused across the whole session."""
 import pytest
 
+from repro.enumeration.distributed import match_level
+from repro.enumeration.gspan import level1_codes
 from repro.graphdb.generator import molecule_db
 from repro.graphdb.spark_io import to_edges_df
 
@@ -18,3 +20,9 @@ def tiny_edges(spark, tiny_mol_db):
     df.count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def tiny_level1(spark, tiny_edges):
+    """The matched 1-edge patterns of ``tiny_edges``, as TED hands them to IPS."""
+    return match_level(spark, tiny_edges, level1_codes(tiny_edges))

@@ -81,7 +81,7 @@ class TestMatchLevel:
     def test_support_aggregation_oracle(self, spark, tiny_mol_db, tiny_edges):
         """Spark countDistinct support aggregate vs DuckDB over the level rows."""
         codes = level1_codes(tiny_edges)
-        ldf = match_level_df(spark, tiny_edges, codes, want_extensions=False).cache()
+        ldf = match_level_df(spark, tiny_edges, codes).cache()
         agg = ldf.groupBy("pattern_id").agg(
             F.countDistinct("graph_id").alias("support"),
             F.sum(F.size("covered")).alias("coverage"),

@@ -18,8 +18,8 @@ class TestEmin:
         r = ted(spark, tiny_edges, k=3, e_max=3)
         assert r.patterns  # no size constraint by default
 
-    def test_ips_respects_e_min(self, spark, tiny_edges):
-        init = ips_initial_patterns(spark, tiny_edges, k=3, e_max=3, e_min=2)
+    def test_ips_respects_e_min(self, spark, tiny_edges, tiny_level1):
+        init, _ = ips_initial_patterns(spark, tiny_edges, tiny_level1, k=3, e_max=3, e_min=2)
         assert all(len(c) >= 2 for c, _ in init)
 
     def test_fs_respects_e_min(self, spark, tiny_edges):

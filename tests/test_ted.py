@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.baselines import all_g, opt_exact
 from repro.core.ted import ips_initial_patterns, ted
+from repro.graphdb.model import make_graph
 from repro.graphdb.spark_io import to_edges_df, to_edges_pandas
 from repro.isomorphism.df_matcher import cover_sql
 from repro.isomorphism.dfscode import code_to_graph, is_min
@@ -91,16 +92,29 @@ class TestOptimizations:
         full = ted(spark, tiny_edges, k=K, e_max=E_MAX, variant="ted")
         assert full.coverage >= 0.95 * base.coverage
 
-    def test_ips_produces_k_disjoint_initial_patterns(self, spark, tiny_edges):
-        init = ips_initial_patterns(spark, tiny_edges, k=K, e_max=E_MAX)
+    def test_ips_produces_k_disjoint_initial_patterns(self, spark, tiny_edges, tiny_level1):
+        init, _ = ips_initial_patterns(spark, tiny_edges, tiny_level1, k=K, e_max=E_MAX)
         codes = [c for c, _ in init]
         assert 1 <= len(codes) <= K and len(set(codes)) == len(codes)
         assert all(is_min(c) and len(c) <= E_MAX for c in codes)
 
-    def test_ips_initial_patterns_sorted_by_coverage(self, spark, tiny_edges):
-        init = ips_initial_patterns(spark, tiny_edges, k=K, e_max=E_MAX)
+    def test_ips_initial_patterns_sorted_by_coverage(self, spark, tiny_edges, tiny_level1):
+        init, _ = ips_initial_patterns(spark, tiny_edges, tiny_level1, k=K, e_max=E_MAX)
         sizes = [len(cov) for _, cov in init]
         assert sizes == sorted(sizes, reverse=True)
+
+    def test_ips_truncation_reported_when_prm_stops_at_level1(self, spark):
+        """K14 on C with an N and an O pendant on every C: IPS's chain meets
+        the embedding cap, while PRM stops the enumeration at level 1 before
+        it does. The truncated cover IPS saw must still be reported."""
+        n = 14
+        vlabels = ["C"] * n + ["N"] * n + ["O"] * n
+        es = [(u, v, "a") for u in range(n) for v in range(u + 1, n)]
+        es += [(u, n + u, "b") for u in range(n)] + [(u, 2 * n + u, "c") for u in range(n)]
+        edges = to_edges_df(spark, [make_graph(0, vlabels, es)])
+        r = ted(spark, edges, k=1, e_max=4, variant="ted")
+        assert r.n_pruned > 0 and r.extra["levels"] == 1
+        assert r.extra["truncated"]
 
     def test_invalid_variant_raises(self, spark, tiny_edges):
         with pytest.raises(ValueError):
